@@ -549,10 +549,12 @@ let serve_cmd =
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains serving requests (socket mode).  1 (default) \
-             keeps the single-threaded event loop; N > 1 runs requests on a \
-             pool of N domains, with per-connection response order \
-             preserved and route_batch items fanned across the pool.")
+            "Worker domains serving requests (socket mode).  The event \
+             loop, response ordering, shedding and error budgets are the \
+             same at every width; only where requests run changes.  1 \
+             (default) runs them inline on the loop's own domain; N > 1 \
+             runs them on a pool of N domains, with route_batch items \
+             fanned across the pool.")
   in
   let max_line_bytes =
     Arg.(
@@ -580,11 +582,13 @@ let serve_cmd =
       & opt (some int) None
       & info [ "hung-request-ms" ] ~docv:"MS"
           ~doc:
-            "Watchdog budget (pool mode): a request running longer is \
-             cancelled cooperatively; a worker that then stops making \
-             progress is declared lost, its client gets \
+            "Watchdog budget (requires $(b,--workers) N > 1): a request \
+             running longer is cancelled cooperatively; a worker that then \
+             stops making progress is declared lost, its client gets \
              $(b,internal_error), and the domain is respawned \
-             ($(b,server_hung_requests), $(b,server_worker_restarts)).")
+             ($(b,server_hung_requests), $(b,server_worker_restarts)).  \
+             With one worker requests run on the loop's own domain, which \
+             the watchdog cannot preempt, so the flag is refused.")
   in
   let queue_delay_ms =
     Arg.(
@@ -592,7 +596,7 @@ let serve_cmd =
       & opt (some int) None
       & info [ "queue-delay-ms" ] ~docv:"MS"
           ~doc:
-            "Adaptive admission target (pool mode): when the measured queue \
+            "Adaptive admission target: when the measured queue \
              delay EWMA exceeds $(docv), new requests are shed with \
              $(b,overloaded) plus a $(b,retry_after_ms) hint.")
   in
@@ -658,6 +662,13 @@ let serve_cmd =
     Log.set_format log_format;
     if workers < 1 then begin
       Printf.eprintf "error: --workers must be at least 1\n";
+      exit 2
+    end;
+    if workers = 1 && hung_request_ms <> None then begin
+      Printf.eprintf
+        "error: --hung-request-ms requires --workers N > 1 (one worker runs \
+         requests on the loop's own domain, which the watchdog cannot \
+         preempt)\n";
       exit 2
     end;
     match (stdio, socket) with

@@ -22,7 +22,9 @@ let c_slow_closes =
 
 let g_workers =
   Metrics.gauge "server_workers"
-    ~help:"Worker domains serving requests (1 = single-threaded loop)."
+    ~help:
+      "Worker domains serving requests (1 = requests run inline on the \
+       loop's own domain)."
 
 (* How long the post-signal drain keeps trying to flush response bytes a
    slow client has not read yet.  The requests themselves are always
@@ -52,7 +54,7 @@ let write_metrics_file path =
 let metrics_interval_ns = 2_000_000_000L
 
 (* A rate-limited writer: [tick] writes at most every ~2s, [flush] always
-   (startup, shutdown, EOF).  The socket loops drive [tick] from an
+   (startup, shutdown, EOF).  The socket loop drives [tick] from an
    event-loop timer instead of a poll-timeout cadence, so a server with
    no metrics file armed never wakes for it at all. *)
 let metrics_writer metrics_file =
@@ -82,10 +84,8 @@ let add_metrics_timer loop metrics_file tick =
 
 (* ---------------------------------------------------------- channel loop *)
 
-let serve_channels ?config ?session ?metrics_file ic oc =
-  let session =
-    match session with Some s -> s | None -> Session.create ?config ()
-  in
+let serve_channels ?config ?metrics_file ic oc =
+  let session = Session.create ?config () in
   let tick_metrics, flush_metrics = metrics_writer metrics_file in
   (try
      while true do
@@ -110,79 +110,184 @@ let run_stdio ?config ?metrics_file () =
   Metrics.enable ();
   serve_channels ?config ?metrics_file stdin stdout
 
+(* ------------------------------------------------------------ executors *)
+
+(* Where request jobs run (DESIGN.md §13).  [Inline] is a bounded queue
+   the loop drains on its own domain at the top of every cycle — no
+   extra domain, no self-pipe.  [Pool] hands jobs to worker domains,
+   which poke a self-pipe when a reply is ready. *)
+type executor = Inline of (unit -> unit) Queue.t | Pool of Worker_pool.t
+
 (* ------------------------------------------------------------ connections *)
 
-(* One nonblocking accepted socket in the readiness loop.  Responses go
-   through a bounded {!Write_queue} flushed on writability: a client
-   that stops reading grows only its own queue, and past the byte cap
-   the connection is closed ([server_slow_client_closes]) instead of
-   head-of-line-blocking the loop the way the historical blocking
-   [write_all] did.
+(* [`Errored] counts toward the connection's consecutive-error budget,
+   [`Ok] resets it, and [`Shed] leaves it alone: an [overloaded] reply
+   is the server's condition, not evidence of a misbehaving client — a
+   polite client honouring retry_after_ms through a long brownout must
+   neither be disconnected for it nor have its garbage streak forgiven
+   by it. *)
+type standing = [ `Ok | `Errored | `Shed ]
 
-   [eof] stops reading but keeps flushing (the half-closed one-shot
-   client pattern: request sent, write side shut down, still waiting to
-   read its response); the connection closes once the queue drains.
-   [dead] closes immediately, discarding queued bytes. *)
+type phase =
+  | Open  (* reading requests *)
+  | Draining
+      (* read side done (EOF, oversized line, shutdown): answer what is
+         in flight, flush, close — the half-closed one-shot client
+         pattern still gets its responses *)
+  | Tripped  (* error budget spent: drop later replies, flush, close *)
+  | Dead  (* write failed or slow-client cap: close now, bytes discarded *)
+
+(* One nonblocking connection in the readiness loop.  Each request is
+   stamped with a sequence number at arrival; finished responses land
+   in the outbox (a mutex-guarded seq -> reply table the executor
+   fills), and the loop moves consecutive sequence numbers into the
+   bounded {!Write_queue} — responses leave in arrival order however
+   jobs interleave, shed [overloaded] replies included.  The write
+   queue is flushed on writability: a client that stops reading grows
+   only its own queue, and past the byte cap the connection is closed
+   ([server_slow_client_closes]). *)
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* bytes read, possibly ending mid-line *)
-  session : Session.t;
+  mutex : Mutex.t;  (* guards outbox *)
+  outbox : (int, string * standing) Hashtbl.t;
   wq : Write_queue.t;
   mutable handle : Event_loop.handle option;
-  mutable eof : bool;
-  mutable dead : bool;
+  mutable next_seq : int;
+  mutable next_write : int;
+  mutable inflight : int;  (* stamped, not yet moved to the wq *)
+  mutable errors : int;  (* consecutive [`Errored] replies *)
+  mutable phase : phase;
 }
 
-let conn_closing conn = conn.eof || conn.dead
+(* Everything below runs on the loop's domain except job bodies, which
+   touch only the outbox (under its mutex), their own session and the
+   supervisor. *)
+type server = {
+  config : Session.config;
+  loop : Event_loop.t;
+  exec : executor;
+  notify : unit -> unit;  (* wake the loop after a job delivers *)
+  stop_exec : unit -> unit;
+  sup : Supervisor.t;
+  cache : Plan_cache.t;
+  (* One session per executor slot: one for [Inline], one per worker for
+     [Pool], created lazily on the slot's domain so its router
+     workspace is domain-owned there.  All share the one plan cache. *)
+  sessions : Session.t option array;
+  chunk : Bytes.t;
+  close_fds : bool;  (* [false]: the caller owns the descriptors *)
+  mutable conns : conn list;
+}
 
-(* Queue a response line.  Overflow is the slow-client verdict: drop the
-   connection rather than buffer without bound. *)
-let send conn line =
-  if not conn.dead then
-    match Write_queue.enqueue conn.wq line with
-    | `Ok -> ()
-    | `Overflow ->
-        Metrics.incr c_slow_closes;
-        conn.dead <- true
+let pending srv =
+  match srv.exec with
+  | Inline q -> Queue.length q
+  | Pool pool -> Worker_pool.pending pool
 
-(* Flush whatever the kernel will take and keep write interest armed
-   exactly while bytes remain.  The [server.writable] fault point covers
-   the flush as a whole (a chaos plan can stall or kill the writable
-   path); per-write faults stay on [server.write] inside the queue. *)
-let flush_conn loop conn =
-  if not conn.dead then begin
-    match
-      Fault.point "server.writable" ~f:(fun () -> Write_queue.flush conn.wq)
-    with
-    | `Idle -> (
-        match conn.handle with
-        | Some h -> Event_loop.set_interest loop h ~writable:false ()
-        | None -> ())
-    | `Pending -> (
-        match conn.handle with
-        | Some h -> Event_loop.set_interest loop h ~writable:true ()
-        | None -> ())
-    | `Closed -> conn.dead <- true
-    | exception Fault.Injected _ -> conn.dead <- true
-  end
+let session_for srv k =
+  match srv.sessions.(k) with
+  | Some s -> s
+  | None ->
+      let pool, worker =
+        match srv.exec with
+        | Inline _ -> (None, None)
+        | Pool pool -> (Some pool, Some (k + 1))
+      in
+      let s =
+        Session.create ~config:srv.config ~cache:srv.cache ?pool ?worker
+          ~inflight_probe:(fun () -> pending srv)
+          ()
+      in
+      srv.sessions.(k) <- Some s;
+      s
 
-(* Answer one request line, with per-request exception isolation — a
-   crashing handler yields an [internal_error] response, never a dead
-   loop — and enforce the connection's consecutive-error budget.  A
-   budget trip closes gracefully: the final reply still flushes. *)
-let respond config conn line =
-  let reply =
-    try Session.handle_line conn.session line
-    with exn ->
-      Metrics.incr c_crashed;
-      Session.crashed_response_line line exn
+let deliver conn seq reply =
+  Mutex.lock conn.mutex;
+  Hashtbl.replace conn.outbox seq reply;
+  Mutex.unlock conn.mutex
+
+let stamp conn =
+  let seq = conn.next_seq in
+  conn.next_seq <- seq + 1;
+  conn.inflight <- conn.inflight + 1;
+  seq
+
+(* Park a ready-made reply at the next arrival slot — shed and
+   oversized replies ride the same ordered outbox as real responses, so
+   they never jump the queue. *)
+let park conn reply = deliver conn (stamp conn) reply
+
+let stop_reading conn = if conn.phase = Open then conn.phase <- Draining
+
+(* The job for one request line, the same on both executors: a fresh
+   cancel token becomes ambient for the request (engines poll it), the
+   supervisor ticket lets the watchdog's abort park the [internal_error]
+   reply if the worker is declared lost, and the settle CAS guarantees
+   exactly one of job and watchdog answers.  Any exception becomes an
+   [internal_error] reply, never a dead loop. *)
+let job srv conn seq line ~submitted_ns () =
+  let k = Option.value ~default:0 (Worker_pool.worker_index ()) in
+  Supervisor.note_queue_delay srv.sup (Int64.sub (Timer.now_ns ()) submitted_ns);
+  let cancel = Cancel.create () in
+  let ticket =
+    Supervisor.enter srv.sup ~worker:k ~cancel ~abort:(fun () ->
+        deliver conn seq (Session.hung_response_line line, `Errored);
+        srv.notify ())
   in
-  send conn reply;
-  let budget = config.Session.error_budget in
-  if budget > 0 && Session.consecutive_errors conn.session >= budget then begin
-    Metrics.incr c_budget_closes;
-    conn.eof <- true
-  end
+  let reply =
+    try
+      let line, errored =
+        Cancel.with_ambient cancel (fun () ->
+            Fault.point "worker.hang" ~f:(fun () ->
+                Session.handle_line_status (session_for srv k) line))
+      in
+      (line, if errored then `Errored else `Ok)
+    with
+    | Cancel.Cancelled Cancel.Killed ->
+        (Session.hung_response_line line, `Errored)
+    | exn ->
+        Metrics.incr c_crashed;
+        (Session.crashed_response_line line exn, `Errored)
+  in
+  let won = Supervisor.settle ticket in
+  Supervisor.leave srv.sup ticket;
+  if won then deliver conn seq reply
+
+(* Stamp the line and hand it to the executor.  Adaptive admission sheds
+   before the queue is even tried; a refused job (queue at its
+   [max_inflight] bound) sheds into its own slot so ordering holds. *)
+let submit_line srv conn line =
+  match Supervisor.should_shed srv.sup with
+  | Some retry_after_ms ->
+      Metrics.incr c_shed;
+      park conn (Session.overloaded_response_line ~retry_after_ms line, `Shed)
+  | None ->
+      let seq = stamp conn in
+      let job = job srv conn seq line ~submitted_ns:(Timer.now_ns ()) in
+      let accepted =
+        match srv.exec with
+        | Inline q ->
+            Queue.length q < srv.config.Session.max_inflight
+            && (Queue.add job q;
+                true)
+        | Pool pool -> Worker_pool.submit pool job
+      in
+      if not accepted then begin
+        Metrics.incr c_shed;
+        deliver conn seq
+          ( Session.overloaded_response_line
+              ~retry_after_ms:(Supervisor.retry_hint_ms srv.sup) line,
+            `Shed )
+      end
+
+let run_inline srv =
+  match srv.exec with
+  | Inline q ->
+      while not (Queue.is_empty q) do
+        (Queue.pop q) ()
+      done
+  | Pool _ -> ()
 
 (* Move complete lines out of an input buffer; the trailing fragment
    (no newline yet) stays for the next read.  Stops at the first line
@@ -191,7 +296,7 @@ let respond config conn line =
    [invalid_request] and close.  A trailing fragment past the limit
    trips the same way: the buffer must never grow without bound while
    waiting for a newline that may never come. *)
-let take_lines_buf inbuf ~limit =
+let take_lines inbuf ~limit =
   let data = Buffer.contents inbuf in
   Buffer.clear inbuf;
   let n = String.length data in
@@ -213,81 +318,257 @@ let take_lines_buf inbuf ~limit =
   if not !oversized then Buffer.add_substring inbuf data !start (n - !start);
   if !oversized then `Oversized (List.rev !lines) else `Lines (List.rev !lines)
 
-let take_lines config conn =
-  take_lines_buf conn.inbuf ~limit:config.Session.max_line_bytes
-
-(* Pull whatever is readable off a connection.  [Would_block] is the
-   normal end of a readiness-sized burst on a nonblocking fd — park
-   until poll reports the fd readable again (the old loop busy-spun
-   here). *)
-let read_conn conn chunk =
+(* Pull whatever is readable off a connection and submit its complete
+   lines.  [Would_block] is the normal end of a readiness-sized burst on
+   a nonblocking fd — wait until poll reports the fd readable again.
+   An oversized line parks the [invalid_request] goodbye behind the
+   lines before it and stops reading; queued replies still flush. *)
+let read_conn srv conn =
   let rec go () =
-    if conn_closing conn then ()
-    else
-      match Io_util.read_chunk ~fault:"server.read" conn.fd chunk with
+    if conn.phase = Open then
+      match Io_util.read_chunk ~fault:"server.read" conn.fd srv.chunk with
       | Io_util.Would_block -> ()
-      | Io_util.Eof | Io_util.Closed -> conn.eof <- true
+      | Io_util.Eof | Io_util.Closed -> stop_reading conn
       | Io_util.Read k ->
-          Buffer.add_subbytes conn.inbuf chunk 0 k;
+          Buffer.add_subbytes conn.inbuf srv.chunk 0 k;
           go ()
-      | exception Fault.Injected _ -> conn.eof <- true
+      | exception Fault.Injected _ -> stop_reading conn
+  in
+  go ();
+  match take_lines conn.inbuf ~limit:srv.config.Session.max_line_bytes with
+  | `Lines lines -> List.iter (submit_line srv conn) lines
+  | `Oversized lines ->
+      List.iter (submit_line srv conn) lines;
+      Metrics.incr c_oversized;
+      park conn (Session.oversized_response_line (), `Errored);
+      stop_reading conn
+
+(* Move finished replies into the write queue in sequence order; stop at
+   the first slot not filled yet.  The reply that brings the
+   consecutive-error count to [error_budget] is the last one queued:
+   reading stops, later replies are dropped, and the connection closes
+   once the queue has flushed.  A queue overflow is the slow-client
+   verdict.  A closing connection keeps consuming its slots, so
+   [inflight] reaches 0 and it can close. *)
+let flush_outbox srv conn =
+  let rec go () =
+    Mutex.lock conn.mutex;
+    let next = Hashtbl.find_opt conn.outbox conn.next_write in
+    if next <> None then Hashtbl.remove conn.outbox conn.next_write;
+    Mutex.unlock conn.mutex;
+    match next with
+    | None -> ()
+    | Some (line, standing) ->
+        conn.inflight <- conn.inflight - 1;
+        conn.next_write <- conn.next_write + 1;
+        if conn.phase = Open || conn.phase = Draining then begin
+          (match Write_queue.enqueue conn.wq line with
+          | `Ok -> ()
+          | `Overflow ->
+              Metrics.incr c_slow_closes;
+              conn.phase <- Dead);
+          match standing with
+          | `Errored ->
+              conn.errors <- conn.errors + 1;
+              let budget = srv.config.Session.error_budget in
+              if budget > 0 && conn.errors >= budget && conn.phase <> Dead
+              then begin
+                Metrics.incr c_budget_closes;
+                conn.phase <- Tripped
+              end
+          | `Ok -> conn.errors <- 0
+          | `Shed -> ()
+        end;
+        go ()
   in
   go ()
 
-let stop_reading loop conn =
-  match conn.handle with
-  | Some h -> Event_loop.set_interest loop h ~readable:false ()
-  | None -> ()
+(* Flush whatever the kernel will take and keep write interest armed
+   exactly while bytes remain.  The [server.writable] fault point covers
+   the flush as a whole (a chaos plan can stall or kill the writable
+   path); per-write faults stay on [server.write] inside the queue. *)
+let flush_wq srv conn =
+  if conn.phase <> Dead then
+    let set writable =
+      Option.iter
+        (fun h -> Event_loop.set_interest srv.loop h ~writable ())
+        conn.handle
+    in
+    match
+      Fault.point "server.writable" ~f:(fun () -> Write_queue.flush conn.wq)
+    with
+    | `Idle -> set false
+    | `Pending -> set true
+    | `Closed | (exception Fault.Injected _) -> conn.phase <- Dead
 
-(* ------------------------------------------------- single-connection loop *)
-
-let serve_fd ?(config = Session.default_config) ?session fd =
-  let session =
-    match session with Some s -> s | None -> Session.create ~config ()
-  in
-  let loop = Event_loop.create () in
-  Unix.set_nonblock fd;
+let add_conn srv fd =
   let conn =
     {
       fd;
       inbuf = Buffer.create 256;
-      session;
+      mutex = Mutex.create ();
+      outbox = Hashtbl.create 8;
       wq =
         Write_queue.create ~fault:"server.write"
-          ~cap_bytes:config.Session.max_outbox_bytes fd;
+          ~cap_bytes:srv.config.Session.max_outbox_bytes fd;
       handle = None;
-      eof = false;
-      dead = false;
+      next_seq = 0;
+      next_write = 0;
+      inflight = 0;
+      errors = 0;
+      phase = Open;
     }
   in
-  let chunk = Bytes.create 65536 in
-  let on_readable ~readable ~writable =
-    if readable then begin
-      read_conn conn chunk;
-      match take_lines config conn with
-      | `Lines lines -> List.iter (fun line -> respond config conn line) lines
-      | `Oversized lines ->
-          List.iter (fun line -> respond config conn line) lines;
-          Metrics.incr c_oversized;
-          send conn (Session.oversized_response_line ());
-          conn.eof <- true
-    end;
-    ignore writable
+  let h =
+    Event_loop.watch srv.loop fd (fun ~readable ~writable ->
+        if readable then read_conn srv conn;
+        if writable then flush_wq srv conn)
   in
-  let h = Event_loop.watch loop fd (fun ~readable ~writable -> on_readable ~readable ~writable) in
   conn.handle <- Some h;
+  srv.conns <- conn :: srv.conns
+
+let release srv conn =
+  Option.iter (Event_loop.unwatch srv.loop) conn.handle;
+  if srv.close_fds then try Unix.close conn.fd with Unix.Unix_error _ -> ()
+
+(* The cycle seam: run the inline jobs staged this cycle (the queue is
+   empty again before the next poll, so a SIGTERM between cycles never
+   abandons accepted work), move finished replies into the write
+   queues, flush, and reap connections that are done. *)
+let on_cycle srv =
+  run_inline srv;
+  srv.conns <-
+    List.filter
+      (fun conn ->
+        flush_outbox srv conn;
+        flush_wq srv conn;
+        if conn.phase <> Open then
+          Option.iter
+            (fun h -> Event_loop.set_interest srv.loop h ~readable:false ())
+            conn.handle;
+        let done_ =
+          conn.phase <> Open && conn.inflight = 0
+          && (conn.phase = Dead || Write_queue.is_empty conn.wq)
+        in
+        if done_ then release srv conn;
+        not done_)
+      srv.conns
+
+(* One watchdog/brownout pass.  A pool worker declared lost gets its
+   slot respawned; its session is dropped first so the replacement
+   builds a fresh one (the zombie may still be mutating the old
+   workspace) — the write happens before [replace]'s spawn, so the new
+   domain sees it.  An inline job starts and finishes inside one
+   [on_cycle], so the watchdog never finds one running. *)
+let supervise srv =
+  List.iter
+    (fun k ->
+      match srv.exec with
+      | Pool pool ->
+          srv.sessions.(k) <- None;
+          Worker_pool.replace pool k
+      | Inline _ -> ())
+    (Supervisor.monitor srv.sup);
+  Supervisor.check_memory srv.sup ~cache:srv.cache
+
+(* Self-pipe: workers poke the write end after each finished job; the
+   read end sits in the interest set like any connection.  Both ends
+   nonblocking — a full pipe already means a wake-up is pending — and
+   CLOEXEC, like every fd this loop mints. *)
+let self_pipe loop =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Unix.set_nonblock wr;
+  let poke = Bytes.make 1 '!' in
+  let notify () =
+    try ignore (Unix.write wr poke 0 1) with Unix.Unix_error _ -> ()
+  in
+  let buf = Bytes.create 512 in
+  let rec drain () =
+    match Unix.read rd buf 0 512 with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+  in
+  ignore
+    (Event_loop.watch loop rd (fun ~readable ~writable:_ ->
+         if readable then drain ()));
+  let close () =
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ rd; wr ]
+  in
+  (notify, close)
+
+(* The executor is the only thing the worker count picks. *)
+let create_server ~config ~workers ~close_fds =
+  let workers = max 1 workers in
+  let loop = Event_loop.create () in
+  let exec, notify, stop_exec =
+    if workers = 1 then (Inline (Queue.create ()), ignore, ignore)
+    else begin
+      let notify, close_pipe = self_pipe loop in
+      let pool =
+        Worker_pool.create ~queue_bound:config.Session.max_inflight ~notify
+          ~workers ()
+      in
+      ( Pool pool,
+        notify,
+        fun () ->
+          Worker_pool.shutdown pool;
+          close_pipe () )
+    end
+  in
+  let sup =
+    Supervisor.create ?hung_ms:config.Session.hung_request_ms
+      ?queue_delay_target_ms:config.Session.queue_delay_target_ms
+      ?max_rss_mb:config.Session.max_rss_mb ~workers ()
+  in
+  let srv =
+    {
+      config;
+      loop;
+      exec;
+      notify;
+      stop_exec;
+      sup;
+      cache = Plan_cache.create ~capacity:config.Session.cache_capacity ();
+      sessions = Array.make workers None;
+      chunk = Bytes.create 65536;
+      close_fds;
+      conns = [];
+    }
+  in
+  (* The watchdog/brownout cadence: armed only when there is something
+     to supervise, so an idle server without either makes no timer
+     wakeups at all. *)
+  if config.Session.hung_request_ms <> None || config.Session.max_rss_mb <> None
+  then begin
+    let period_ns = Supervisor.poll_interval_ns sup in
+    ignore
+      (Event_loop.add_timer loop ~period_ns ~delay_ns:period_ns (fun () ->
+           supervise srv))
+  end;
+  srv
+
+(* ------------------------------------------------------ one connection *)
+
+let serve_fd ?(config = Session.default_config) fd =
+  let srv = create_server ~config ~workers:1 ~close_fds:false in
+  Unix.set_nonblock fd;
+  add_conn srv fd;
   let finally () =
-    Event_loop.unwatch loop h;
+    List.iter (release srv) srv.conns;
+    srv.stop_exec ();
     (* The caller owns the fd; hand it back in the blocking state it
        arrived in. *)
     try Unix.clear_nonblock fd with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally @@ fun () ->
-  Event_loop.run loop
-    ~on_cycle:(fun () ->
-      flush_conn loop conn;
-      if conn.eof then stop_reading loop conn)
-    ~stop:(fun () -> conn.dead || (conn.eof && Write_queue.is_empty conn.wq))
+  Event_loop.run srv.loop
+    ~on_cycle:(fun () -> on_cycle srv)
+    ~stop:(fun () -> srv.conns = [])
 
 (* ------------------------------------------------------------ socket loop *)
 
@@ -297,10 +578,9 @@ let remove_stale_socket path =
   | _ -> failwith (Printf.sprintf "%s exists and is not a socket" path)
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* Shared scaffolding for both socket loops: signals, the listening
-   socket (CLOEXEC + nonblocking: the forked chaos tests and respawned
-   worker domains must not inherit serving fds, and the accept burst
-   must end in [EWOULDBLOCK], not a block). *)
+(* Signals and the listening socket (CLOEXEC + nonblocking: the forked
+   chaos tests and respawned worker domains must not inherit serving
+   fds, and the accept burst must end in [EWOULDBLOCK], not a block). *)
 let with_signals_and_listener ~path f =
   let stop = ref false in
   let prev_int =
@@ -356,505 +636,47 @@ let accept_burst loop listener ~on_fd =
       | exception Unix.Unix_error _ -> continue := false
   done
 
-let run_socket_single ~config ?metrics_file ~path () =
+let run_socket ?(config = Session.default_config) ?metrics_file
+    ?(workers = 1) ~path () =
   Metrics.enable ();
-  Metrics.set g_workers 1.;
+  Metrics.set g_workers (float_of_int (max 1 workers));
   let tick_metrics, flush_metrics = metrics_writer metrics_file in
   with_signals_and_listener ~path @@ fun ~stop ~listener ~restore ->
-  let loop = Event_loop.create () in
-  add_metrics_timer loop metrics_file tick_metrics;
-  let cache = Plan_cache.create ~capacity:config.Session.cache_capacity () in
-  let conns = ref [] in
-  let pending = Queue.create () in
-  let chunk = Bytes.create 65536 in
-  (* Stage complete lines in the bounded in-flight queue; requests
-     pipelined past the bound are shed with [overloaded] right away
-     rather than queued without limit.  An oversized line queues a close
-     marker behind the conn's staged lines, so the [invalid_request]
-     goodbye still leaves in arrival order. *)
-  let stage conn =
-    let lines, oversized =
-      match take_lines config conn with
-      | `Lines lines -> (lines, false)
-      | `Oversized lines -> (lines, true)
-    in
-    List.iter
-      (fun line ->
-        if Queue.length pending >= config.Session.max_inflight then begin
-          Metrics.incr c_shed;
-          send conn (Session.overloaded_response_line line)
-        end
-        else Queue.add (conn, `Line line) pending)
-      lines;
-    if oversized then Queue.add (conn, `Oversized) pending
-  in
-  let on_conn conn ~readable ~writable =
-    if readable then begin
-      read_conn conn chunk;
-      stage conn
-    end;
-    if writable then flush_conn loop conn
-  in
-  let add_conn fd =
-    let conn =
-      {
-        fd;
-        inbuf = Buffer.create 256;
-        session =
-          Session.create ~config ~cache
-            ~inflight_probe:(fun () -> Queue.length pending)
-            ();
-        wq =
-          Write_queue.create ~fault:"server.write"
-            ~cap_bytes:config.Session.max_outbox_bytes fd;
-        handle = None;
-        eof = false;
-        dead = false;
-      }
-    in
-    let h =
-      Event_loop.watch loop fd (fun ~readable ~writable ->
-          on_conn conn ~readable ~writable)
-    in
-    conn.handle <- Some h;
-    conns := conn :: !conns
-  in
-  let close_conn conn =
-    (match conn.handle with Some h -> Event_loop.unwatch loop h | None -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  in
+  let srv = create_server ~config ~workers ~close_fds:true in
+  add_metrics_timer srv.loop metrics_file tick_metrics;
   let cleanup () =
-    List.iter close_conn !conns;
+    srv.stop_exec ();
+    List.iter (release srv) srv.conns;
     restore ();
     (* Final snapshot so the last requests before shutdown are visible
        to scrapers. *)
     flush_metrics ()
   in
-  (* Drain: answer everything staged this cycle, in arrival order.  The
-     queue is empty again before the next poll, so a SIGTERM between
-     cycles never abandons accepted work.  A half-closed connection
-     (client shut down its write side and is waiting to read — the
-     one-shot client pattern) has eof set but must still get its
-     responses; the write queue flushes them before the close. *)
-  let on_cycle () =
-    while not (Queue.is_empty pending) do
-      match Queue.pop pending with
-      | conn, `Line line -> respond config conn line
-      | conn, `Oversized ->
-          Metrics.incr c_oversized;
-          send conn (Session.oversized_response_line ());
-          conn.eof <- true
-    done;
-    conns :=
-      List.filter
-        (fun conn ->
-          flush_conn loop conn;
-          if conn.eof then stop_reading loop conn;
-          if conn.dead || (conn.eof && Write_queue.is_empty conn.wq) then begin
-            close_conn conn;
-            false
-          end
-          else true)
-        !conns
-  in
   let listener_h =
-    Event_loop.watch loop listener (fun ~readable ~writable ->
-        ignore writable;
-        if readable then accept_burst loop listener ~on_fd:add_conn)
+    Event_loop.watch srv.loop listener (fun ~readable ~writable:_ ->
+        if readable then accept_burst srv.loop listener ~on_fd:(add_conn srv))
   in
+  let on_cycle () = on_cycle srv in
   Fun.protect ~finally:cleanup @@ fun () ->
   flush_metrics ();
-  Event_loop.run loop ~on_cycle ~stop:(fun () -> !stop);
-  (* Graceful drain: stop accepting and reading; all staged requests
-     are already answered into the write queues (the pending queue
-     empties every cycle), so only give slow readers a bounded grace to
-     take their remaining bytes. *)
-  Event_loop.unwatch loop listener_h;
-  List.iter (fun c -> c.eof <- true) !conns;
+  Event_loop.run srv.loop ~on_cycle ~stop:(fun () -> !stop);
+  (* Graceful drain: stop accepting and reading; everything already
+     submitted gets its reply moved into a write queue before the
+     executor stops and the sockets close.  The watchdog keeps a fast
+     cadence so a wedged worker cannot hold the drain hostage — its
+     request is answered by the abort reply.  Slow readers get a
+     bounded grace; a client that never reads is cut off at the
+     deadline. *)
+  Event_loop.unwatch srv.loop listener_h;
+  List.iter stop_reading srv.conns;
   let deadline = Int64.add (Timer.now_ns ()) drain_flush_ns in
-  let drained () = !conns = [] in
-  ignore (Event_loop.add_timer loop ~delay_ns:drain_flush_ns (fun () -> ()));
+  ignore (Event_loop.add_timer srv.loop ~delay_ns:drain_flush_ns ignore);
+  ignore
+    (Event_loop.add_timer srv.loop ~period_ns:50_000_000L ~delay_ns:50_000_000L
+       (fun () -> supervise srv));
   (* Reap already-flushed connections before the first poll so an idle
      shutdown returns without blocking. *)
   on_cycle ();
-  Event_loop.run loop ~on_cycle
+  Event_loop.run srv.loop ~on_cycle
     ~stop:(fun () ->
-      drained () || Int64.compare (Timer.now_ns ()) deadline > 0)
-
-(* --------------------------------------------------- multicore socket loop *)
-
-(* Pool mode (DESIGN.md §13, §15): the accept/IO loop stays on the main
-   domain; parsed request lines become jobs on a {!Worker_pool}.  Each
-   request is stamped with a per-connection sequence number at arrival,
-   and finished responses land in the connection's outbox (a mutex-
-   guarded seq -> line table filled by workers); the main loop moves
-   consecutive sequence numbers into the connection's write queue, so
-   responses leave every connection in arrival order no matter how the
-   workers interleave — including shed [overloaded] responses, which
-   are parked in the outbox at their slot instead of jumping the queue.
-   A worker finishing a job pokes a self-pipe that is just another
-   readable fd in the loop's interest set, so responses are written
-   promptly instead of waiting out a poll timeout. *)
-type pconn = {
-  p_fd : Unix.file_descr;
-  p_inbuf : Buffer.t;
-  p_mutex : Mutex.t;  (* guards p_outbox *)
-  (* seq -> (response, standing).  [`Errored] counts toward the
-     connection's consecutive-error budget, [`Ok] resets it, and
-     [`Shed] leaves it alone: an [overloaded] reply is the server's
-     condition, not evidence of a misbehaving client — a polite client
-     honouring retry_after_ms through a long brownout must neither be
-     disconnected for it nor have its garbage streak forgiven by it. *)
-  p_outbox : (int, string * [ `Ok | `Errored | `Shed ]) Hashtbl.t;
-  p_wq : Write_queue.t;
-  mutable p_handle : Event_loop.handle option;
-  mutable p_next_seq : int;  (* main domain only *)
-  mutable p_next_write : int;  (* main domain only *)
-  mutable p_inflight : int;  (* submitted, not yet moved to the wq; main only *)
-  mutable p_eof : bool;  (* read side finished *)
-  mutable p_dead : bool;  (* write failed, slow-client cap, or budget *)
-  mutable p_errors : int;  (* consecutive error responses *)
-}
-
-let run_socket_pool ~config ?metrics_file ~path ~workers () =
-  Metrics.enable ();
-  Metrics.set g_workers (float_of_int workers);
-  let tick_metrics, flush_metrics = metrics_writer metrics_file in
-  with_signals_and_listener ~path @@ fun ~stop ~listener ~restore ->
-  let loop = Event_loop.create () in
-  add_metrics_timer loop metrics_file tick_metrics;
-  let cache = Plan_cache.create ~capacity:config.Session.cache_capacity () in
-  (* Self-pipe: workers poke the write end after each finished job; the
-     read end sits in the interest set like any connection.  Both ends
-     nonblocking — a full pipe already means a wake-up is pending — and
-     CLOEXEC, like every fd this loop mints. *)
-  let pipe_rd, pipe_wr = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock pipe_rd;
-  Unix.set_nonblock pipe_wr;
-  let poke = Bytes.make 1 '!' in
-  let notify () =
-    try ignore (Unix.write pipe_wr poke 0 1) with Unix.Unix_error _ -> ()
-  in
-  let pool =
-    Worker_pool.create ~queue_bound:config.Session.max_inflight ~notify
-      ~workers ()
-  in
-  let sup =
-    Supervisor.create ?hung_ms:config.Session.hung_request_ms
-      ?queue_delay_target_ms:config.Session.queue_delay_target_ms
-      ?max_rss_mb:config.Session.max_rss_mb ~workers ()
-  in
-  (* One session per worker, created lazily {e on} the worker so its
-     router workspace is domain-owned there; slot [k] is only ever
-     touched by worker [k].  All sessions share the one plan cache. *)
-  let sessions = Array.make workers None in
-  let session_for k =
-    match sessions.(k) with
-    | Some s -> s
-    | None ->
-        let s =
-          Session.create ~config ~cache ~pool ~worker:(k + 1)
-            ~inflight_probe:(fun () -> Worker_pool.pending pool)
-            ()
-        in
-        sessions.(k) <- Some s;
-        s
-  in
-  let conns = ref [] in
-  let chunk = Bytes.create 65536 in
-  let drain_pipe () =
-    let b = Bytes.create 512 in
-    let rec go () =
-      match Unix.read pipe_rd b 0 512 with
-      | 0 -> ()
-      | _ -> go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    in
-    go ()
-  in
-  (* Park a ready-made response at the next arrival slot — shed,
-     oversized and watchdog replies ride the same ordered outbox as
-     real responses, so they never jump the queue. *)
-  let park conn reply =
-    let seq = conn.p_next_seq in
-    conn.p_next_seq <- seq + 1;
-    conn.p_inflight <- conn.p_inflight + 1;
-    Mutex.lock conn.p_mutex;
-    Hashtbl.replace conn.p_outbox seq reply;
-    Mutex.unlock conn.p_mutex
-  in
-  (* Assign the arrival slot and hand the line to the pool.  Adaptive
-     admission sheds before the queue is even tried; a refused job
-     (queue at hard bound) sheds into the same slot so ordering holds.
-     Each accepted job runs under a supervisor ticket: a fresh cancel
-     token becomes ambient for the request (engines poll it), the
-     watchdog's abort parks the [internal_error] reply if the worker is
-     declared lost, and the settle CAS guarantees exactly one of worker
-     and watchdog answers. *)
-  let submit_line conn line =
-    match Supervisor.should_shed sup with
-    | Some retry_after_ms ->
-        Metrics.incr c_shed;
-        park conn (Session.overloaded_response_line ~retry_after_ms line, `Shed)
-    | None ->
-        let seq = conn.p_next_seq in
-        conn.p_next_seq <- seq + 1;
-        conn.p_inflight <- conn.p_inflight + 1;
-        let submitted_ns = Timer.now_ns () in
-        let deliver reply =
-          Mutex.lock conn.p_mutex;
-          Hashtbl.replace conn.p_outbox seq reply;
-          Mutex.unlock conn.p_mutex
-        in
-        let job () =
-          let k = Option.value ~default:0 (Worker_pool.worker_index ()) in
-          Supervisor.note_queue_delay sup
-            (Int64.sub (Timer.now_ns ()) submitted_ns);
-          let cancel = Cancel.create () in
-          let ticket =
-            Supervisor.enter sup ~worker:k ~cancel ~abort:(fun () ->
-                deliver (Session.hung_response_line line, `Errored);
-                notify ())
-          in
-          let reply =
-            try
-              let line, errored =
-                Cancel.with_ambient cancel (fun () ->
-                    Fault.point "worker.hang" ~f:(fun () ->
-                        Session.handle_line_status (session_for k) line))
-              in
-              (line, if errored then `Errored else `Ok)
-            with
-            | Cancel.Cancelled Cancel.Killed ->
-                (Session.hung_response_line line, `Errored)
-            | exn ->
-                Metrics.incr c_crashed;
-                (Session.crashed_response_line line exn, `Errored)
-          in
-          let won = Supervisor.settle ticket in
-          Supervisor.leave sup ticket;
-          if won then deliver reply
-        in
-        if not (Worker_pool.submit pool job) then begin
-          Metrics.incr c_shed;
-          deliver
-            ( Session.overloaded_response_line
-                ~retry_after_ms:(Supervisor.retry_hint_ms sup) line,
-              `Shed )
-        end
-  in
-  (* Move finished responses into the write queue in sequence order;
-     stop at the first slot a worker hasn't filled yet.  A dead
-     connection keeps consuming its slots (so inflight reaches 0 and it
-     can close) without queuing bytes.  A queue overflow is the
-     slow-client verdict: the client stopped reading while its replies
-     kept coming. *)
-  let flush_outbox conn =
-    let rec go () =
-      Mutex.lock conn.p_mutex;
-      let next = Hashtbl.find_opt conn.p_outbox conn.p_next_write in
-      (match next with
-      | Some _ -> Hashtbl.remove conn.p_outbox conn.p_next_write
-      | None -> ());
-      Mutex.unlock conn.p_mutex;
-      match next with
-      | None -> ()
-      | Some (line, standing) ->
-          conn.p_inflight <- conn.p_inflight - 1;
-          conn.p_next_write <- conn.p_next_write + 1;
-          if not conn.p_dead then begin
-            (match Write_queue.enqueue conn.p_wq line with
-            | `Ok -> ()
-            | `Overflow ->
-                Metrics.incr c_slow_closes;
-                conn.p_dead <- true);
-            match standing with
-            | `Errored ->
-                conn.p_errors <- conn.p_errors + 1;
-                let budget = config.Session.error_budget in
-                if budget > 0 && conn.p_errors >= budget then begin
-                  Metrics.incr c_budget_closes;
-                  conn.p_dead <- true
-                end
-            | `Ok -> conn.p_errors <- 0
-            | `Shed -> ()
-          end;
-          go ()
-    in
-    go ()
-  in
-  let flush_wq conn =
-    if not conn.p_dead then begin
-      match
-        Fault.point "server.writable" ~f:(fun () ->
-            Write_queue.flush conn.p_wq)
-      with
-      | `Idle -> (
-          match conn.p_handle with
-          | Some h -> Event_loop.set_interest loop h ~writable:false ()
-          | None -> ())
-      | `Pending -> (
-          match conn.p_handle with
-          | Some h -> Event_loop.set_interest loop h ~writable:true ()
-          | None -> ())
-      | `Closed -> conn.p_dead <- true
-      | exception Fault.Injected _ -> conn.p_dead <- true
-    end
-  in
-  let read_pconn conn =
-    let rec go () =
-      if conn.p_eof || conn.p_dead then ()
-      else
-        match Io_util.read_chunk ~fault:"server.read" conn.p_fd chunk with
-        | Io_util.Would_block -> ()
-        | Io_util.Eof | Io_util.Closed -> conn.p_eof <- true
-        | Io_util.Read k ->
-            Buffer.add_subbytes conn.p_inbuf chunk 0 k;
-            go ()
-        | exception Fault.Injected _ -> conn.p_eof <- true
-    in
-    go ()
-  in
-  let stage_pconn conn =
-    match
-      take_lines_buf conn.p_inbuf ~limit:config.Session.max_line_bytes
-    with
-    | `Lines lines -> List.iter (submit_line conn) lines
-    | `Oversized lines ->
-        List.iter (submit_line conn) lines;
-        Metrics.incr c_oversized;
-        park conn (Session.oversized_response_line (), `Errored);
-        (* p_eof, not p_dead: queued replies (and the goodbye) still
-           flush before the socket closes. *)
-        conn.p_eof <- true
-  in
-  let on_pconn conn ~readable ~writable =
-    if readable then begin
-      read_pconn conn;
-      stage_pconn conn
-    end;
-    if writable then flush_wq conn
-  in
-  let add_conn fd =
-    let conn =
-      {
-        p_fd = fd;
-        p_inbuf = Buffer.create 256;
-        p_mutex = Mutex.create ();
-        p_outbox = Hashtbl.create 8;
-        p_wq =
-          Write_queue.create ~fault:"server.write"
-            ~cap_bytes:config.Session.max_outbox_bytes fd;
-        p_handle = None;
-        p_next_seq = 0;
-        p_next_write = 0;
-        p_inflight = 0;
-        p_eof = false;
-        p_dead = false;
-        p_errors = 0;
-      }
-    in
-    let h =
-      Event_loop.watch loop fd (fun ~readable ~writable ->
-          on_pconn conn ~readable ~writable)
-    in
-    conn.p_handle <- Some h;
-    conns := conn :: !conns
-  in
-  let close_pconn conn =
-    (match conn.p_handle with
-    | Some h -> Event_loop.unwatch loop h
-    | None -> ());
-    try Unix.close conn.p_fd with Unix.Unix_error _ -> ()
-  in
-  let cleanup () =
-    Worker_pool.shutdown pool;
-    List.iter close_pconn !conns;
-    (try Unix.close pipe_rd with Unix.Unix_error _ -> ());
-    (try Unix.close pipe_wr with Unix.Unix_error _ -> ());
-    restore ();
-    flush_metrics ()
-  in
-  (* One watchdog/brownout pass.  A worker declared lost gets its slot
-     respawned; its session is dropped first so the replacement builds a
-     fresh one (the zombie may still be mutating the old workspace) —
-     the write happens before [replace]'s spawn, so the new domain sees
-     it. *)
-  let supervise () =
-    List.iter
-      (fun k ->
-        sessions.(k) <- None;
-        Worker_pool.replace pool k)
-      (Supervisor.monitor sup);
-    Supervisor.check_memory sup ~cache
-  in
-  (* The watchdog/brownout cadence replaces the old fixed poll timeout:
-     armed only when there is something to supervise, so an idle server
-     without a watchdog makes no timer wakeups at all. *)
-  if
-    config.Session.hung_request_ms <> None
-    || config.Session.max_rss_mb <> None
-  then begin
-    let period_ns = Supervisor.poll_interval_ns sup in
-    ignore (Event_loop.add_timer loop ~period_ns ~delay_ns:period_ns supervise)
-  end;
-  let on_cycle () =
-    conns :=
-      List.filter
-        (fun conn ->
-          flush_outbox conn;
-          flush_wq conn;
-          if conn.p_eof then
-            (match conn.p_handle with
-            | Some h -> Event_loop.set_interest loop h ~readable:false ()
-            | None -> ());
-          if
-            (conn.p_eof || conn.p_dead)
-            && conn.p_inflight = 0
-            && (conn.p_dead || Write_queue.is_empty conn.p_wq)
-          then begin
-            close_pconn conn;
-            false
-          end
-          else true)
-        !conns
-  in
-  ignore
-    (Event_loop.watch loop pipe_rd (fun ~readable ~writable ->
-         ignore writable;
-         if readable then drain_pipe ()));
-  let listener_h =
-    Event_loop.watch loop listener (fun ~readable ~writable ->
-        ignore writable;
-        if readable then accept_burst loop listener ~on_fd:add_conn)
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  flush_metrics ();
-  Event_loop.run loop ~on_cycle ~stop:(fun () -> !stop);
-  (* Graceful drain: stop accepting; everything already submitted gets
-     its response moved into a write queue before the pool is shut down
-     and the sockets close.  The watchdog keeps its cadence so a wedged
-     worker cannot hold the drain hostage — its request is answered by
-     the abort reply.  The final flush gives slow readers a bounded
-     grace; a client that never reads is cut off at the deadline. *)
-  Event_loop.unwatch loop listener_h;
-  let deadline = Int64.add (Timer.now_ns ()) drain_flush_ns in
-  ignore (Event_loop.add_timer loop ~delay_ns:drain_flush_ns (fun () -> ()));
-  ignore
-    (Event_loop.add_timer loop ~period_ns:50_000_000L ~delay_ns:50_000_000L
-       supervise);
-  on_cycle ();
-  Event_loop.run loop ~on_cycle
-    ~stop:(fun () ->
-      (List.for_all
-         (fun c ->
-           c.p_inflight = 0 && (c.p_dead || Write_queue.is_empty c.p_wq))
-         !conns)
-      || Int64.compare (Timer.now_ns ()) deadline > 0)
-
-let run_socket ?(config = Session.default_config) ?metrics_file
-    ?(workers = 1) ~path () =
-  if workers <= 1 then run_socket_single ~config ?metrics_file ~path ()
-  else run_socket_pool ~config ?metrics_file ~path ~workers ()
+      srv.conns = [] || Int64.compare (Timer.now_ns ()) deadline > 0)

@@ -1,10 +1,13 @@
-(** Per-connection request processing.
+(** Request processing for one serving domain.
 
-    A session owns everything one connection reuses across requests: a
+    A session owns everything its domain reuses across requests: a
     {!Qr_route.Router_workspace.t} (so every request after the first rides
     the batched [route_many] allocation profile), a {!Plan_cache.t}
-    (optionally shared between connections by the server), and the request
-    counter behind the [health] report.  {!handle_line} is the whole
+    (optionally shared between sessions by the server), and the request
+    counter behind the [health] report.  The socket server keeps one
+    session per executor slot — the inline one, or one per worker —
+    serving every connection, so connection state (ordering, error
+    budget) lives in {!Server}, not here.  {!handle_line} is the whole
     request pipeline — parse, dispatch, route, serialize — and is pure
     string-to-string, so tests and the [serve_session] example drive it
     without sockets or channels.
@@ -27,8 +30,8 @@ type config = {
       (** Largest accepted [route_batch]; bigger batches get the
           [overloaded] error (default 64). *)
   max_inflight : int;
-      (** Pipelined requests the server queues per poll cycle before
-          answering [overloaded] (default 32; enforced by {!Server}). *)
+      (** Requests the server's executor queues before answering
+          [overloaded] (default 32; enforced by {!Server}). *)
   verify : bool;
       (** Verified routing ([--verify-schedules]): every schedule —
           freshly planned or a cache hit — is checked against the
@@ -37,9 +40,10 @@ type config = {
           cache hits that fail re-verification are evicted and
           replanned (default [false]). *)
   error_budget : int;
-      (** Consecutive error responses a connection may accumulate
-          before the socket server sheds it (default 32; 0 disables;
-          enforced by {!Server}). *)
+      (** Consecutive error responses a connection may accumulate: the
+          reply that reaches it is the connection's last, and the server
+          closes once it has flushed (default 32; 0 disables; enforced
+          by {!Server}). *)
   max_line_bytes : int;
       (** Largest request line (and largest partial line buffered while
           waiting for its newline) a connection may send; past it the
@@ -90,10 +94,10 @@ val create :
   t
 (** A fresh session with its own workspace.  [cache] shares a cache
     between sessions (the socket server passes one cache to every
-    connection); by default the session creates its own with
+    session); by default the session creates its own with
     [config.cache_capacity].  [inflight_probe] supplies the [health]
-    report's [inflight] count (the socket server passes its pending
-    queue length; defaults to [fun () -> 0]).  [pool] lets
+    report's [inflight] count (the socket server passes its executor's
+    backlog; defaults to [fun () -> 0]).  [pool] lets
     [route_batch] fan its items across worker domains
     ({!Worker_pool.map_tasks}); without it batches run serially as
     before.  [worker] stamps the owning worker's index into every
@@ -103,8 +107,8 @@ val create :
 
     {b Domain safety} (DESIGN.md §13): a session is {e single-owner}
     mutable state — create it on (or dedicate it to) the one domain
-    that calls [handle_line]; the multicore server keeps one session
-    per worker.  The cache shared between sessions is safe
+    that calls [handle_line]; the socket server keeps one session
+    per executor slot.  The cache shared between sessions is safe
     ({!Plan_cache} locks internally); the workspace is per-session and
     ownership-checked. *)
 
@@ -113,11 +117,6 @@ val config : t -> config
 val cache : t -> Plan_cache.t
 
 val requests_served : t -> int
-
-val consecutive_errors : t -> int
-(** Error responses since the last success on this session — the
-    per-connection error budget the socket server enforces.  Reset to 0
-    by every success response. *)
 
 val handle_request : t -> Protocol.request -> Protocol.Json.t
 (** Dispatch one parsed request to its method handler; always returns a
@@ -140,10 +139,9 @@ val handle_line : t -> string -> string
 
 val handle_line_status : t -> string -> string * bool
 (** {!handle_line} plus whether the response was an error — the signal
-    the multicore server feeds its per-connection error budget, which
-    it tracks on the accept loop (worker sessions are shared between
-    connections, so {!consecutive_errors} can't be per-connection
-    there). *)
+    {!Server} counts each connection's consecutive-error budget from
+    (sessions are shared between connections, so the budget lives on
+    the connection, not here). *)
 
 val overloaded_response_line : ?retry_after_ms:int -> string -> string
 (** The [overloaded] error response for a request line that was shed

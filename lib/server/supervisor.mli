@@ -1,4 +1,4 @@
-(** Supervision and overload control for the pool-mode server.
+(** Supervision and overload control for the socket server (both executors).
 
     Three cooperating protections (DESIGN.md §14):
 

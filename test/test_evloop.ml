@@ -423,6 +423,157 @@ let test_beyond_select_capacity () =
           Alcotest.failf "route failed at 1100 connections: %s" err.P.message
     end
 
+(* ----------------------------------------------------- one serving loop *)
+
+(* The same connection machine serves [serve_fd] and [run_socket] at
+   every worker count, so the same script must get the same replies
+   through all of them. *)
+
+let connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let send_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* A line reader over a blocking descriptor: [next ()] is the next
+   reply line, [None] at EOF (or a reset peer). *)
+let reply_reader fd =
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 65536 in
+  let rec next () =
+    let data = Buffer.contents buf in
+    match String.index_opt data '\n' with
+    | Some i ->
+        Buffer.clear buf;
+        Buffer.add_string buf
+          (String.sub data (i + 1) (String.length data - i - 1));
+        Some (String.sub data 0 i)
+    | None -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> None
+        | k ->
+            Buffer.add_subbytes buf chunk 0 k;
+            next ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None)
+  in
+  next
+
+let rec replies_to_eof next =
+  match next () with None -> [] | Some line -> line :: replies_to_eof next
+
+let error_code line =
+  match P.response_result (Json.of_string_exn line) with
+  | Error err -> Some err.P.code
+  | Ok _ -> None
+
+(* Three junk lines against a budget of 2: the second reply trips the
+   budget, so exactly two [parse_error] replies leave, then EOF — the
+   client never half-closes, so a budget that does not close hangs the
+   test into its deadline. *)
+let junk_lines = "junk one\njunk two\njunk three\n"
+let budget_config = { Session.default_config with Session.error_budget = 2 }
+
+let check_budget_trip label replies =
+  checki (label ^ ": two replies, then EOF") 2 (List.length replies);
+  List.iter
+    (fun line ->
+      checkb (label ^ ": parse_error") true
+        (error_code line = Some P.Parse_error))
+    replies
+
+let test_budget_trip_is_exact () =
+  with_test_deadline 30 @@ fun () ->
+  let client, server =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  send_all client junk_lines;
+  Server.serve_fd ~config:budget_config server;
+  Unix.close server;
+  let replies = replies_to_eof (reply_reader client) in
+  Unix.close client;
+  check_budget_trip "serve_fd" replies;
+  List.iter
+    (fun workers ->
+      with_forked_server ~config:budget_config ~workers
+        (Printf.sprintf "qr_evloop_budget%d" workers)
+      @@ fun path ->
+      let fd = connect path in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      send_all fd junk_lines;
+      check_budget_trip
+        (Printf.sprintf "run_socket ~workers:%d" workers)
+        (replies_to_eof (reply_reader fd)))
+    [ 1; 2 ]
+
+let without_server_ms line =
+  match Json.of_string_exn line with
+  | Json.Obj fields ->
+      Json.to_string (Json.Obj (List.remove_assoc "server_ms" fields))
+  | json -> Json.to_string json
+
+(* Lock-step (each reply read before the next line goes out), so the
+   cache hit is a hit on every worker count.  Under a budget of 3 the
+   oversized-line goodbye is the third consecutive error: it trips the
+   budget and must still be delivered before the close. *)
+let differential_script =
+  let grid = {|{"rows": 3, "cols": 3}|} in
+  [
+    route_line ~id:1 ();
+    route_line ~id:2 ();
+    Printf.sprintf
+      {|{"id": 3, "method": "route_batch", "params": {"grid": %s, "perms": [[8,7,6,5,4,3,2,1,0],[1,0,3,2,5,4,7,6,8],[3,4,5,0,1,2,6,7,8]], "engine": "local"}}|}
+      grid;
+    {|{"id": 4, "method": "no_such_method", "params": {}}|};
+    Printf.sprintf
+      {|{"id": 5, "method": "route", "params": {"grid": %s, "perm": [0,0,0]}}|}
+      grid;
+    String.make 8_192 'z';
+  ]
+
+let run_differential workers =
+  let config =
+    {
+      Session.default_config with
+      Session.max_line_bytes = 4_096;
+      error_budget = 3;
+    }
+  in
+  with_forked_server ~config ~workers
+    (Printf.sprintf "qr_evloop_diff%d" workers)
+  @@ fun path ->
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let next = reply_reader fd in
+  let replies =
+    List.concat_map
+      (fun line ->
+        send_all fd (line ^ "\n");
+        match next () with Some reply -> [ reply ] | None -> [])
+      differential_script
+  in
+  List.map without_server_ms (replies @ replies_to_eof next)
+
+let test_differential_workers () =
+  with_test_deadline 60 @@ fun () ->
+  let inline = run_differential 1 in
+  let pool = run_differential 2 in
+  checki "every line answered" (List.length differential_script)
+    (List.length inline);
+  (match List.nth_opt inline 1 with
+  | Some hit ->
+      checkb "second route is a cache hit" true
+        (Json.member "cached"
+           (Option.get (Json.member "result" (Json.of_string_exn hit)))
+        = Some (Json.Bool true))
+  | None -> Alcotest.fail "no reply to the second route");
+  Alcotest.(check (list string)) "same replies at 1 and 2 workers" inline pool
+
 (* -------------------------------------------------------------------- run *)
 
 let () =
@@ -458,5 +609,12 @@ let () =
         [
           Alcotest.test_case "beyond FD_SETSIZE" `Slow
             test_beyond_select_capacity;
+        ] );
+      ( "one loop",
+        [
+          Alcotest.test_case "budget trip is exact" `Quick
+            test_budget_trip_is_exact;
+          Alcotest.test_case "same replies at 1 and 2 workers" `Quick
+            test_differential_workers;
         ] );
     ]

@@ -480,15 +480,6 @@ let test_session_dispatch_crash_isolated () =
   let ok = result_of (Session.handle_line session (route_line rev9)) in
   checkb "next request fine" true (Json.member "schedule" ok <> None)
 
-let test_session_consecutive_errors () =
-  let session = Session.create () in
-  checki "starts clean" 0 (Session.consecutive_errors session);
-  ignore (Session.handle_line session "junk");
-  ignore (Session.handle_line session {|{"id": 1}|});
-  checki "errors accumulate" 2 (Session.consecutive_errors session);
-  ignore (Session.handle_line session (route_line rev9));
-  checki "success resets" 0 (Session.consecutive_errors session)
-
 let test_batch_deadline_aborts_mid_plan () =
   let session = Session.create () in
   let perms =
@@ -1078,8 +1069,6 @@ let () =
             test_session_cache_errors_are_misses;
           Alcotest.test_case "dispatch crash isolated" `Quick
             test_session_dispatch_crash_isolated;
-          Alcotest.test_case "consecutive error tracking" `Quick
-            test_session_consecutive_errors;
           Alcotest.test_case "batch deadline aborts mid-plan" `Quick
             test_batch_deadline_aborts_mid_plan;
           Alcotest.test_case "batch 0ms deadline" `Quick

@@ -587,6 +587,44 @@ let test_hung_worker_answered_and_respawned () =
           | Ok _ -> Alcotest.fail "oversized line must be refused")
       | Error msg -> Alcotest.failf "oversized call failed: %s" msg
 
+let test_brownout_single_worker () =
+  (* The supervisor timer runs at every worker count: a one-worker
+     server past its max-RSS limit rejects batch work within one poll
+     interval, as the pool does. *)
+  let tag = Printf.sprintf "qr_brownout_%d" (Unix.getpid ()) in
+  let path = Filename.concat (Filename.get_temp_dir_name ()) (tag ^ ".sock") in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let config = { Session.default_config with Session.max_rss_mb = Some 1 } in
+  match Unix.fork () with
+  | 0 ->
+      (try Server.run_socket ~config ~workers:1 ~path () with _ -> ());
+      Unix._exit 0
+  | child ->
+      let finally () =
+        (try Unix.kill child Sys.sigterm with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
+        (try Unix.unlink path with Unix.Unix_error _ -> ());
+        Supervisor.reset_brownout ()
+      in
+      Fun.protect ~finally @@ fun () ->
+      await_socket path;
+      let interval =
+        Supervisor.poll_interval_s (Supervisor.create ~max_rss_mb:1 ~workers:1 ())
+      in
+      Unix.sleepf (interval +. 0.3);
+      let batch =
+        {|{"id": 9, "method": "route_batch", "params": {"grid": {"rows": 2, "cols": 2}, "perms": [[3,2,1,0]]}}|}
+      in
+      match Client.call ~path batch with
+      | Ok reply -> (
+          match P.response_result (Json.of_string_exn reply) with
+          | Error err ->
+              checkb "batch shed as overloaded" true (err.P.code = P.Overloaded);
+              checkb "shed by the memory brownout" true
+                (String.starts_with ~prefix:"memory brownout" err.P.message)
+          | Ok _ -> Alcotest.fail "a browned-out server must reject batch work")
+      | Error msg -> Alcotest.failf "batch call failed: %s" msg
+
 (* ------------------------------------------------------------------ run *)
 
 let () =
@@ -639,5 +677,7 @@ let () =
         [
           Alcotest.test_case "hung worker answered and respawned" `Quick
             test_hung_worker_answered_and_respawned;
+          Alcotest.test_case "brownout at one worker" `Quick
+            test_brownout_single_worker;
         ] );
     ]
