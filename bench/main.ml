@@ -870,15 +870,15 @@ let ablation_noise () =
   List.iter
     (fun kind ->
       List.iter
-        (fun strategy ->
+        (fun engine ->
           let pi = Generators.generate grid kind (Rng.create 7000) in
-          let sched = Strategy.route strategy grid pi in
+          let sched = route ~engine grid pi in
           let circuit = Circuit.of_schedule ~num_qubits:n sched in
           Printf.printf "%-13s %-11s %10d %10d %14.3f\n"
-            (Generators.name kind) (Strategy.name strategy)
+            (Generators.name kind) engine
             (Schedule.depth sched) (Schedule.size sched)
             (Noise.log_success Noise.default circuit /. log 10.))
-        [ Strategy.Local; Strategy.Ats; Strategy.Snake ])
+        [ "local"; "ats"; "snake" ])
     [ Generators.Random; Generators.Block_local 2 ]
 
 let ablation_partial () =
@@ -924,16 +924,17 @@ let circuits () =
   Printf.printf "%-15s %-7s %7s %7s %7s %9s %9s %10s\n" "circuit" "router"
     "size" "depth" "swaps" "opt-size" "opt-depth" "log10(p)";
   let transpilers =
-    [ ("local", fun logical -> transpile ~strategy:Strategy.Local ~place:true grid logical);
-      ("ats", fun logical -> transpile ~strategy:Strategy.Ats ~place:true grid logical);
-      ("snake", fun logical -> transpile ~strategy:Strategy.Snake ~place:true grid logical);
-      ("sabre",
-       fun logical ->
-         let initial =
-           Placement.place ~graph:(Grid.graph grid)
-             ~dist:(Distance.of_grid grid) logical
-         in
-         Sabre_lite.run_grid ~initial grid logical) ]
+    List.map
+      (fun engine ->
+        (engine, fun logical -> transpile ~engine ~place:true grid logical))
+      [ "local"; "ats"; "snake" ]
+    @ [ ("sabre",
+         fun logical ->
+           let initial =
+             Placement.place ~graph:(Grid.graph grid)
+               ~dist:(Distance.of_grid grid) logical
+           in
+           Sabre_lite.run_grid ~initial grid logical) ]
   in
   List.iter
     (fun (label, logical) ->
@@ -990,12 +991,10 @@ let realistic () =
       let nonzero = List.filter (fun pi -> not (Perm.is_identity pi)) perms in
       if nonzero = [] then Printf.printf "%-18s %6d (all identity)\n" label 0
       else begin
-        let mean strategy =
+        let mean engine =
           let depths =
             List.map
-              (fun pi ->
-                float_of_int
-                  (Schedule.depth (Strategy.route strategy grid pi)))
+              (fun pi -> float_of_int (Schedule.depth (route ~engine grid pi)))
               nonzero
           in
           Stats.mean (Array.of_list depths)
@@ -1008,8 +1007,8 @@ let realistic () =
                   nonzero))
         in
         Printf.printf "%-18s %6d %12.2f %12.2f %12.2f %12.2f\n" label
-          (List.length nonzero) (mean Strategy.Local) (mean Strategy.Naive)
-          (mean Strategy.Ats) bound
+          (List.length nonzero) (mean "local") (mean "naive") (mean "ats")
+          bound
       end)
     sources
 
@@ -1059,13 +1058,13 @@ let micro () =
     [
       (* One Test.make per figure series. *)
       Test.make ~name:"fig4+5/local/random"
-        (Staged.stage (fun () -> Strategy.route Strategy.Local grid pi_random));
+        (Staged.stage (fun () -> route ~engine:"local" grid pi_random));
       Test.make ~name:"fig4+5/naive/random"
-        (Staged.stage (fun () -> Strategy.route Strategy.Naive grid pi_random));
+        (Staged.stage (fun () -> route ~engine:"naive" grid pi_random));
       Test.make ~name:"fig4+5/ats/random"
         (Staged.stage (fun () -> Parallel_ats.route ~trials:1 g oracle pi_random));
       Test.make ~name:"fig4+5/local/block"
-        (Staged.stage (fun () -> Strategy.route Strategy.Local grid pi_block));
+        (Staged.stage (fun () -> route ~engine:"local" grid pi_block));
       Test.make ~name:"fig4+5/ats/block"
         (Staged.stage (fun () -> Parallel_ats.route ~trials:1 g oracle pi_block));
       (* One per ablation. *)

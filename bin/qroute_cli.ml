@@ -523,7 +523,7 @@ let serve_cmd =
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
             "Pipelined requests queued per poll cycle before shedding with \
-             $(b,overloaded) (socket mode).")
+             $(b,overloaded).  Socket mode only; $(b,--stdio) ignores it.")
   in
   let verify =
     Arg.(
@@ -542,7 +542,8 @@ let serve_cmd =
       & info [ "error-budget" ] ~docv:"N"
           ~doc:
             "Consecutive error responses a connection may accumulate before \
-             the socket server closes it; 0 disables shedding.")
+             the socket server closes it; 0 disables shedding.  Socket mode \
+             only; $(b,--stdio) ignores it.")
   in
   let workers =
     Arg.(
@@ -563,7 +564,8 @@ let serve_cmd =
           ~doc:
             "Largest request line (or buffered partial line) a connection \
              may send; past it the server replies $(b,invalid_request) and \
-             closes the connection.")
+             closes the connection.  Socket mode only; $(b,--stdio) ignores \
+             it.")
   in
   let max_outbox_bytes =
     Arg.(
@@ -574,7 +576,7 @@ let serve_cmd =
              reading; past it the connection is closed \
              ($(b,server_slow_client_closes)).  A stalled reader only ever \
              blocks itself — the readiness loop keeps serving everyone \
-             else.")
+             else.  Socket mode only; $(b,--stdio) ignores it.")
   in
   let hung_request_ms =
     Arg.(
@@ -598,7 +600,8 @@ let serve_cmd =
           ~doc:
             "Adaptive admission target: when the measured queue \
              delay EWMA exceeds $(docv), new requests are shed with \
-             $(b,overloaded) plus a $(b,retry_after_ms) hint.")
+             $(b,overloaded) plus a $(b,retry_after_ms) hint.  Requires \
+             $(b,--socket): the stdio loop has no supervisor.")
   in
   let max_rss_mb =
     Arg.(
@@ -607,7 +610,8 @@ let serve_cmd =
       & info [ "max-rss-mb" ] ~docv:"MB"
           ~doc:
             "Memory brownout threshold: past this max-RSS high-water mark \
-             the plan cache is shrunk and batch requests rejected.")
+             the plan cache is shrunk and batch requests rejected.  \
+             Requires $(b,--socket): the stdio loop has no supervisor.")
   in
   let breaker_threshold =
     Arg.(
@@ -676,10 +680,17 @@ let serve_cmd =
         Printf.eprintf "error: --stdio and --socket are mutually exclusive\n";
         exit 2
     | true, None ->
-        if workers > 1 then begin
-          Printf.eprintf "error: --workers requires --socket\n";
-          exit 2
-        end;
+        (* The stdio loop has no supervisor: refuse the flags only the
+           socket server honours rather than silently ignore them. *)
+        List.iter
+          (fun (flag, given) ->
+            if given then begin
+              Printf.eprintf "error: %s requires --socket\n" flag;
+              exit 2
+            end)
+          [ ("--workers", workers > 1);
+            ("--max-rss-mb", max_rss_mb <> None);
+            ("--queue-delay-ms", queue_delay_ms <> None) ];
         Server.run_stdio ~config ?metrics_file ()
     | false, Some path -> (
         try Server.run_socket ~config ?metrics_file ~workers ~path () with

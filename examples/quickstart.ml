@@ -14,7 +14,7 @@ let () =
   Format.printf "destination map:@.%a@." (Grid_perm.pp grid) pi;
 
   (* Route it with the paper's locality-aware algorithm (Algorithm 1). *)
-  let sched = Strategy.route Strategy.Local grid pi in
+  let sched = route ~engine:"local" grid pi in
   Printf.printf "locality-aware: depth %d, %d swaps\n"
     (Schedule.depth sched) (Schedule.size sched);
 
@@ -31,6 +31,6 @@ let () =
     (Permsim.trace ~n:(Grid.size grid) sched);
 
   (* Compare against the approximate-token-swapping baseline. *)
-  let ats = Strategy.route Strategy.Ats grid pi in
+  let ats = route ~engine:"ats" grid pi in
   Printf.printf "@.token swapping: depth %d, %d swaps\n"
     (Schedule.depth ats) (Schedule.size ats)

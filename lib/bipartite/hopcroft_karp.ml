@@ -134,19 +134,20 @@ let solve_in ws ~nl ~nr ~edges =
     in
     try_edges offsets.(l)
   in
-  let size = ref 0 in
+  let size = ref 0 and phases = ref 0 in
   while
     Cancel.poll cancel;
     bfs ()
   do
-    Metrics.incr c_phases;
+    incr phases;
     for l = 0 to nl - 1 do
-      if left_match.(l) = -1 && dfs l then begin
-        incr size;
-        Metrics.incr c_augmentations
-      end
+      if left_match.(l) = -1 && dfs l then incr size
     done
   done;
+  (* Tallied locally and published once per solve: every augmentation
+     grows the matching by one, so [size] is the augmentation count. *)
+  Metrics.add c_phases !phases;
+  Metrics.add c_augmentations !size;
   { size = !size; left_match; right_match }
 
 let solve ~nl ~nr ~edges = solve_in None ~nl ~nr ~edges

@@ -1,8 +1,9 @@
 (** Umbrella API: one import for the whole routing stack.
 
-    Re-exports every sub-library under stable names and adds the
-    {!Strategy} front-end — the "which router" switch the CLI, examples and
-    benchmarks all share. *)
+    Re-exports every sub-library under stable names and adds grid-level
+    entry points that pick their router by {!Router_registry} name — the
+    same string the CLI's [--strategy] flag, the wire protocol's [engine]
+    field and {!Router_config}'s [best=] list use. *)
 
 (** {2 Re-exports} *)
 
@@ -73,63 +74,32 @@ module Cancel = Qr_util.Cancel
 module Breaker = Qr_route.Breaker
 module Supervisor = Qr_server.Supervisor
 
-(** {2 Routing strategies}
+(** {2 Routing by engine name}
 
     Linking this module completes the {!Router_registry}: the grid engines
     register with [qr_route] itself, and the umbrella's initializer adds
-    the token-swapping engines ([ats], [ats-serial]).  {!Strategy} is a
-    thin compatibility shim over the registry — new code should prefer
-    {!Router_registry.get}/{!Router_intf.route} directly, which also cover
-    engines registered by third parties. *)
-
-module Strategy : sig
-  type t =
-    | Local  (** Algorithm 1: LocalGridRoute over both orientations. *)
-    | Local_single  (** Algorithm 2 only (no transpose trick). *)
-    | Naive  (** Alon et al. GridRoute, arbitrary decomposition. *)
-    | Ats  (** Parallel ATS (depth-oriented, 4 trials). *)
-    | Ats_serial  (** Serial ATS, ASAP re-layered. *)
-    | Snake  (** 1-D boustrophedon odd–even baseline. *)
-    | Best  (** min-depth of [Local] and [Naive] — the paper's
-                "no-overhead" fallback combination. *)
-
-  val all : t list
-
-  val name : t -> string
-  (** Also the {!Router_registry} key of the corresponding engine. *)
-
-  val of_name : string -> t option
-
-  val engine : t -> Router_intf.t
-  (** The registered engine behind a strategy. *)
-
-  val route : ?config:Router_config.t -> t -> Grid.t -> Perm.t -> Schedule.t
-  (** Route a permutation on a grid.  Every strategy returns a valid
-      schedule realizing the permutation. *)
-
-  val generic_route :
-    ?config:Router_config.t ->
-    t -> Graph.t -> Distance.t -> Perm.t -> Schedule.t
-  (** Router for arbitrary connected coupling graphs: token-swapping
-      strategies run natively; grid-only strategies fall back to parallel
-      ATS {e explicitly} — the [router_fallbacks] counter is bumped and a
-      warning printed once per engine ({!Router_registry.route_generic}). *)
-end
+    the token-swapping engines ([ats], [ats-serial]).  Every [?engine]
+    below is resolved with {!Router_registry.get} (default ["best"]: the
+    min-depth of [local] and [naive], the paper's "no-overhead" fallback
+    combination) and raises [Invalid_argument] on an unknown name.
+    {!Router_registry.all} enumerates the engines; for arbitrary coupling
+    graphs use {!Router_registry.route_generic}. *)
 
 val route :
-  ?strategy:Strategy.t -> ?config:Router_config.t ->
+  ?engine:string -> ?config:Router_config.t ->
   Grid.t -> Perm.t -> Schedule.t
-(** [route grid pi] with the paper's default ([Strategy.Best]). *)
+(** Route a permutation on a grid.  Every engine returns a valid schedule
+    realizing the permutation. *)
 
 val route_many :
-  ?strategy:Strategy.t -> ?config:Router_config.t ->
+  ?engine:string -> ?config:Router_config.t ->
   Grid.t -> Perm.t list -> Schedule.t list
 (** Route a batch of permutations on one grid through a shared planning
     workspace ({!Router_intf.route_many}): same schedules as repeated
     {!route} calls, fewer allocations. *)
 
 val route_partial :
-  ?strategy:Strategy.t ->
+  ?engine:string ->
   ?config:Router_config.t ->
   ?policy:Partial_perm.policy ->
   Grid.t -> Partial_perm.t -> Schedule.t * Perm.t
@@ -139,12 +109,12 @@ val route_partial :
     and the chosen extension. *)
 
 val transpile :
-  ?strategy:Strategy.t ->
+  ?engine:string ->
   ?config:Router_config.t ->
   ?initial:Layout.t ->
   ?place:bool ->
   Grid.t -> Circuit.t -> Transpile.result
 (** Transpile a logical circuit onto the grid using the chosen routing
-    strategy (default [Strategy.Best]).  With [~place:true] and no explicit
+    engine.  With [~place:true] and no explicit
     [initial], the interaction-graph {!Placement} heuristic chooses the
     starting layout. *)

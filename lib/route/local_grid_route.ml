@@ -65,11 +65,12 @@ let discover_doubling ?hk ?(initial_width = 0) cg =
   let live = Array.make (Column_graph.num_edges cg) true in
   let found = ref [] in
   let w = ref initial_width in
+  let rounds = ref 0 and windows = ref 0 in
   while List.length !found < m do
-    Metrics.incr c_band_rounds;
+    incr rounds;
     let r0 = ref 0 in
     while !r0 < m && List.length !found < m do
-      Metrics.incr c_band_windows;
+      incr windows;
       Cancel.poll cancel;
       let hi = min (!r0 + !w) (m - 1) in
       drain_band hk cg ~live ~lo:!r0 ~hi found;
@@ -77,6 +78,9 @@ let discover_doubling ?hk ?(initial_width = 0) cg =
     done;
     w := if !w = 0 then 1 else 2 * !w
   done;
+  (* One shared-counter update per call, not per band window. *)
+  Metrics.add c_band_rounds !rounds;
+  Metrics.add c_band_windows !windows;
   (* Narrow-band matchings first: they carry the locality. *)
   List.rev !found
 

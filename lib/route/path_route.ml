@@ -18,7 +18,6 @@ let route_from_parity start_parity dests =
   (* Odd-even transposition needs at most k rounds from either starting
      parity; k+1 leaves room for a wasted first round. *)
   while (not (sorted ())) && !rounds <= k + 1 do
-    Metrics.incr c_rounds;
     let swaps = ref [] in
     let p = ref !parity in
     while !p + 1 < k do
@@ -34,6 +33,8 @@ let route_from_parity start_parity dests =
     parity := 1 - !parity;
     incr rounds
   done;
+  (* One shared-counter update per call, not per round. *)
+  Metrics.add c_rounds !rounds;
   assert (sorted ());
   List.rev !layers
 

@@ -606,34 +606,23 @@ let with_signals_and_listener ~path f =
   in
   f ~stop ~listener ~restore
 
-(* Accept everything pending this wakeup.  The capacity guard keeps the
-   select fallback below FD_SETSIZE — connections past it wait in the
-   listen backlog instead of blowing up the multiplexer with EINVAL
-   (the poll backend has no such cap).  An injected accept fault skips
-   one accept; the client sees a connection that was never picked up
-   and retries. *)
-let accept_burst loop listener ~on_fd =
+(* Accept everything pending this wakeup.  An injected accept fault
+   skips one accept; the client sees a connection that was never picked
+   up and retries. *)
+let accept_burst listener ~on_fd =
   let continue = ref true in
   while !continue do
-    if Event_loop.at_capacity loop then begin
-      Log.warn_once ~key:"fd_capacity"
-        "select backend at FD_SETSIZE; deferring accepts"
-        [ ("capacity", Json.Int (Option.value ~default:0 (Event_loop.capacity loop))) ];
-      continue := false
-    end
-    else
-      match
-        Fault.point "server.accept" ~f:(fun () ->
-            Unix.accept ~cloexec:true listener)
-      with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          Metrics.incr c_connections;
-          on_fd fd
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Fault.Injected _ -> continue := false
-      | exception Unix.Unix_error _ -> continue := false
+    match
+      Fault.point "server.accept" ~f:(fun () ->
+          Unix.accept ~cloexec:true listener)
+    with
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        Metrics.incr c_connections;
+        on_fd fd
+    | exception (Unix.Unix_error _ | Fault.Injected _) ->
+        (* EAGAIN: the backlog is drained. *)
+        continue := false
   done
 
 let run_socket ?(config = Session.default_config) ?metrics_file
@@ -654,7 +643,7 @@ let run_socket ?(config = Session.default_config) ?metrics_file
   in
   let listener_h =
     Event_loop.watch srv.loop listener (fun ~readable ~writable:_ ->
-        if readable then accept_burst srv.loop listener ~on_fd:(add_conn srv))
+        if readable then accept_burst listener ~on_fd:(add_conn srv))
   in
   let on_cycle () = on_cycle srv in
   Fun.protect ~finally:cleanup @@ fun () ->

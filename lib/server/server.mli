@@ -6,10 +6,10 @@
       mode scripts and CI pipe through, and the transport a transpiler
       pipeline would spawn as a subprocess.  It is a blocking
       line-at-a-time loop over channels ({!serve_channels});
-    - one readiness-driven {!Event_loop} ([poll(2)], [select]
-      fallback) serves sockets: {!run_socket} runs it over a
-      Unix-domain listener, {!serve_fd} over one already-connected
-      descriptor (the loop the chaos harness drives).
+    - one readiness-driven {!Event_loop} ([poll(2)]) serves sockets:
+      {!run_socket} runs it over a Unix-domain listener, {!serve_fd}
+      over one already-connected descriptor (the loop the chaos harness
+      drives).
 
     {b One loop, two executors.}  Every connection is the same state
     machine: complete lines are stamped with a per-connection sequence
@@ -60,9 +60,8 @@
     [overloaded] error (with a [retry_after_ms] hint), parked at their
     own slot so ordering holds.
 
-    Capacity: on the poll backend the fd limit is the only bound; on
-    the select fallback the loop stops accepting (one-time warning) at
-    the FD_SETSIZE guard instead of dying in the multiplexer.
+    Capacity: the process fd limit is the only bound on concurrent
+    connections.
 
     Shutdown: SIGINT/SIGTERM flip a flag; the loop stops accepting
     (listener unwatched) and reading, answers everything already

@@ -72,8 +72,8 @@ val monitor : t -> int list
 val poll_interval_s : t -> float
 (** Watchdog cadence that keeps kill/lost detection within a fraction
     of [hung_ms]: [hung_ms/4] clamped to [\[10ms, 1s\]]; [1s] when off.
-    Historically the select timeout; now the period of the event-loop
-    timer that drives {!monitor} (DESIGN.md §15). *)
+    It is the period of the event-loop timer that drives {!monitor}
+    (DESIGN.md §15). *)
 
 val poll_interval_ns : t -> int64
 (** {!poll_interval_s} in nanoseconds — the period handed to

@@ -1,8 +1,7 @@
 (* Tests for the readiness-driven serving loop (DESIGN.md §15): the
    event loop's timers (ordering, periodic coalescing), fd interest
    (readable and writable on one descriptor), wakeup accounting, the
-   select backend's FD_SETSIZE capacity guard, the bounded
-   per-connection write queue — and the two regression scenarios the
+   bounded per-connection write queue — and the two regression scenarios the
    loop exists for: a slow client is closed at its outbox cap instead
    of buffering without bound, and a client that never reads its
    responses no longer head-of-line-blocks every other connection. *)
@@ -11,7 +10,6 @@ module Json = Qr_obs.Json
 module Metrics = Qr_obs.Metrics
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
-module Sys_poll = Qr_util.Sys_poll
 module P = Qr_server.Protocol
 module Session = Qr_server.Session
 module Server = Qr_server.Server
@@ -113,42 +111,6 @@ let test_readable_and_writable () =
   checkb "writable interest disarmed" true (!got = (true, false));
   Event_loop.unwatch loop h;
   checki "unwatch forgets the fd" 0 (Event_loop.fd_count loop)
-
-let test_select_capacity_guard () =
-  (* The select fallback must refuse to watch past FD_SETSIZE instead of
-     letting Unix.select die with EINVAL mid-serve. *)
-  let loop = Event_loop.create ~backend:Event_loop.Select () in
-  (match Event_loop.capacity loop with
-  | Some cap -> checki "select capacity is FD_SETSIZE" 1024 cap
-  | None -> Alcotest.fail "select backend must report a capacity");
-  let pairs = ref [] in
-  let finally () =
-    List.iter
-      (fun (a, b) ->
-        (try Unix.close a with Unix.Unix_error _ -> ());
-        try Unix.close b with Unix.Unix_error _ -> ())
-      !pairs
-  in
-  Fun.protect ~finally @@ fun () ->
-  (try
-     while not (Event_loop.at_capacity loop) do
-       let a, b =
-         Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-       in
-       pairs := (a, b) :: !pairs;
-       ignore (Event_loop.watch loop a (fun ~readable:_ ~writable:_ -> ()));
-       if not (Event_loop.at_capacity loop) then
-         ignore (Event_loop.watch loop b (fun ~readable:_ ~writable:_ -> ()))
-     done
-   with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-     Alcotest.fail "fd limit below FD_SETSIZE; raise ulimit -n");
-  checki "guard trips exactly at capacity" 1024 (Event_loop.fd_count loop);
-  with_socketpair @@ fun extra _ ->
-  checkb "watch past capacity refuses" true
-    (try
-       ignore (Event_loop.watch loop extra (fun ~readable:_ ~writable:_ -> ()));
-       false
-     with Invalid_argument _ -> true)
 
 (* ----------------------------------------------------------- write queue *)
 
@@ -365,63 +327,60 @@ let test_slow_reader_does_not_block_others () =
 (* ------------------------------------------------- many-connection scaling *)
 
 let test_beyond_select_capacity () =
-  (* The poll backend serves more concurrent connections than
-     FD_SETSIZE allows — the scenario that killed the select loop with
-     EINVAL.  Gated on the fd limit: a constrained environment skips
-     rather than fails. *)
-  if not Sys_poll.available then
-    checkb "poll unavailable; nothing to test" true true
-  else
-    with_test_deadline 120 @@ fun () ->
-    with_forked_server "qr_evloop_many" @@ fun path ->
-    let conns = ref [] in
-    let finally () =
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        !conns
+  (* The event loop serves more concurrent connections than FD_SETSIZE
+     allows — the scenario that killed a select(2) loop with EINVAL.
+     Gated on the fd limit: a constrained environment skips rather than
+     fails. *)
+  with_test_deadline 120 @@ fun () ->
+  with_forked_server "qr_evloop_many" @@ fun path ->
+  let conns = ref [] in
+  let finally () =
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      !conns
+  in
+  Fun.protect ~finally @@ fun () ->
+  let target = 1100 in
+  let opened =
+    try
+      for _ = 1 to target do
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        conns := fd :: !conns;
+        Unix.connect fd (Unix.ADDR_UNIX path)
+      done;
+      target
+    with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      List.length !conns
+  in
+  if opened < target then
+    (* fd limit too low to exercise the scenario; connections close in
+       [finally], the server just drains. *)
+    checkb "skipped: fd limit below the 1100-connection target" true true
+  else begin
+    (* Every connection is idle-open; the newest one still gets
+       answered — the server is past FD_SETSIZE and serving. *)
+    let fd = List.hd !conns in
+    let line = route_line ~id:9999 () ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    let buf = Buffer.create 512 in
+    let chunk = Bytes.create 4096 in
+    let rec read_line () =
+      if String.contains (Buffer.contents buf) '\n' then ()
+      else
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> Alcotest.fail "server closed the 1100th connection"
+        | k ->
+            Buffer.add_subbytes buf chunk 0 k;
+            read_line ()
     in
-    Fun.protect ~finally @@ fun () ->
-    let target = 1100 in
-    let opened =
-      try
-        for _ = 1 to target do
-          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          conns := fd :: !conns;
-          Unix.connect fd (Unix.ADDR_UNIX path)
-        done;
-        target
-      with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-        List.length !conns
-    in
-    if opened < target then
-      (* fd limit too low to exercise the scenario; connections close in
-         [finally], the server just drains. *)
-      checkb "skipped: fd limit below the 1100-connection target" true true
-    else begin
-      (* Every connection is idle-open; the newest one still gets
-         answered — the server is past FD_SETSIZE and serving. *)
-      let fd = List.hd !conns in
-      let line = route_line ~id:9999 () ^ "\n" in
-      ignore (Unix.write_substring fd line 0 (String.length line));
-      let buf = Buffer.create 512 in
-      let chunk = Bytes.create 4096 in
-      let rec read_line () =
-        if String.contains (Buffer.contents buf) '\n' then ()
-        else
-          match Unix.read fd chunk 0 4096 with
-          | 0 -> Alcotest.fail "server closed the 1100th connection"
-          | k ->
-              Buffer.add_subbytes buf chunk 0 k;
-              read_line ()
-      in
-      read_line ();
-      let data = Buffer.contents buf in
-      let response = String.sub data 0 (String.index data '\n') in
-      match P.response_result (Json.of_string_exn response) with
-      | Ok _ -> checkb "served beyond FD_SETSIZE" true true
-      | Error err ->
-          Alcotest.failf "route failed at 1100 connections: %s" err.P.message
-    end
+    read_line ();
+    let data = Buffer.contents buf in
+    let response = String.sub data 0 (String.index data '\n') in
+    match P.response_result (Json.of_string_exn response) with
+    | Ok _ -> checkb "served beyond FD_SETSIZE" true true
+    | Error err ->
+        Alcotest.failf "route failed at 1100 connections: %s" err.P.message
+  end
 
 (* ----------------------------------------------------- one serving loop *)
 
@@ -589,8 +548,6 @@ let () =
         [
           Alcotest.test_case "readable+writable on one fd" `Quick
             test_readable_and_writable;
-          Alcotest.test_case "select capacity guard" `Slow
-            test_select_capacity_guard;
         ] );
       ( "write_queue",
         [

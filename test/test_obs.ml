@@ -668,7 +668,7 @@ let test_routed_counters_consistent () =
   let grid = Qroute.Grid.make ~rows:6 ~cols:6 in
   let pi = Qroute.Rng.permutation (Qroute.Rng.create 5) (Qroute.Grid.size grid) in
   let sched, spans =
-    Trace.run (fun () -> Qroute.Strategy.route Qroute.Strategy.Best grid pi)
+    Trace.run (fun () -> Qroute.route ~engine:"best" grid pi)
   in
   Metrics.disable ();
   let names = List.map (fun (s : Trace.span) -> s.name) spans in
@@ -689,6 +689,36 @@ let test_routed_counters_consistent () =
     (counter "swaps_total");
   checkb "band_search_iterations counted" true
     (counter "band_search_iterations" > 0)
+
+let test_kernel_counters_golden () =
+  (* The routing kernels tally their hot loops locally and publish once
+     per call; the totals for one fixed instance are pinned so a change
+     in where (or how often) a counter is bumped shows up here. *)
+  with_clean_sinks @@ fun () ->
+  Metrics.reset ();
+  Metrics.enable ();
+  let grid = Qroute.Grid.make ~rows:16 ~cols:16 in
+  let pi =
+    Qroute.Generators.generate grid Qroute.Generators.Random
+      (Qroute.Rng.create 1)
+  in
+  let local = Qroute.Router_registry.get "local" in
+  ignore (Qroute.Router_intf.route_grid local grid pi);
+  Metrics.disable ();
+  List.iter
+    (fun (name, expected) ->
+      match Metrics.find_counter name with
+      | Some c -> checki name expected (Metrics.value c)
+      | None -> Alcotest.failf "counter %s not registered" name)
+    [
+      ("odd_even_rounds", 2311);
+      ("hk_calls", 122);
+      ("hk_phases", 194);
+      ("hk_augmentations", 1661);
+      ("band_search_rounds", 12);
+      ("band_search_iterations", 74);
+      ("matchings_extracted", 32);
+    ]
 
 let () =
   Alcotest.run "qr_obs"
@@ -761,5 +791,7 @@ let () =
         [
           Alcotest.test_case "instrumented route" `Quick
             test_routed_counters_consistent;
+          Alcotest.test_case "kernel counters golden" `Quick
+            test_kernel_counters_golden;
         ] );
     ]

@@ -96,13 +96,11 @@ let test_every_strategy_router () =
   let rng = Rng.create 2 in
   let c = Library.random_two_qubit rng ~num_qubits:9 ~gates:25 in
   List.iter
-    (fun strategy ->
-      let r = Qroute.transpile ~strategy grid c in
-      checkb
-        ("feasible with " ^ Qroute.Strategy.name strategy)
-        true
+    (fun engine ->
+      let r = Qroute.transpile ~engine grid c in
+      checkb ("feasible with " ^ engine) true
         (Transpile.verify_feasible (Grid.graph grid) r))
-    Qroute.Strategy.all
+    (Qroute.Router_registry.names ())
 
 let test_generic_graph_transpile () =
   (* Transpile on a cycle coupling graph using the generic entry point. *)
