@@ -1,63 +1,54 @@
-(* Tests for the Qroute.Strategy front-end and the umbrella entry points. *)
+(* Routing by registry name: every registered engine routes every grid
+   shape, charges nothing for the identity, and realizes the requested
+   permutation on grids and on generic graphs. *)
 
 open Qroute
+
+(* Module aliases alone do not force the umbrella's initializer; complete
+   the registry explicitly (idempotent). *)
+let () = Token_engines.register ()
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let test_names_unique_and_roundtrip () =
-  let names = List.map Strategy.name Strategy.all in
-  checki "unique names" (List.length names)
-    (List.length (List.sort_uniq compare names));
-  List.iter
-    (fun strategy ->
-      match Strategy.of_name (Strategy.name strategy) with
-      | Some parsed ->
-          checkb (Strategy.name strategy) true (parsed = strategy)
-      | None -> Alcotest.failf "no parse for %s" (Strategy.name strategy))
-    Strategy.all
-
-let test_of_name_rejects_garbage () =
-  checkb "garbage" true (Strategy.of_name "quantum-magic" = None);
-  checkb "empty" true (Strategy.of_name "" = None);
-  checkb "case sensitive" true (Strategy.of_name "Local" = None)
-
-let test_every_strategy_routes_every_shape () =
+let test_every_engine_routes_every_shape () =
   let rng = Rng.create 1 in
   List.iter
     (fun (m, n) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation rng (m * n)) in
       List.iter
-        (fun strategy ->
-          let sched = Strategy.route strategy grid pi in
+        (fun engine ->
+          let name = engine.Router_intf.name in
+          let sched = Router_intf.route_grid engine grid pi in
           checkb
-            (Printf.sprintf "%s on %dx%d valid" (Strategy.name strategy) m n)
+            (Printf.sprintf "%s on %dx%d valid" name m n)
             true
             (Schedule.is_valid (Grid.graph grid) sched);
           checkb
-            (Printf.sprintf "%s on %dx%d realizes" (Strategy.name strategy) m n)
+            (Printf.sprintf "%s on %dx%d realizes" name m n)
             true
             (Schedule.realizes ~n:(m * n) sched pi))
-        Strategy.all)
+        (Router_registry.all ()))
     [ (1, 1); (1, 8); (8, 1); (2, 2); (5, 7); (7, 5) ]
 
-let test_every_strategy_identity_free () =
-  (* No strategy may charge anything for the identity. *)
+let test_every_engine_identity_free () =
+  (* No engine may charge anything for the identity. *)
   let grid = Grid.make ~rows:5 ~cols:5 in
   List.iter
-    (fun strategy ->
+    (fun engine ->
       checki
-        (Strategy.name strategy ^ " identity depth")
+        (engine.Router_intf.name ^ " identity depth")
         0
-        (Schedule.depth (Strategy.route strategy grid (Perm.identity 25))))
-    Strategy.all
+        (Schedule.depth
+           (Router_intf.route_grid engine grid (Perm.identity 25))))
+    (Router_registry.all ())
 
 let test_default_route_is_best () =
   let grid = Grid.make ~rows:6 ~cols:6 in
   let pi = Generators.generate grid Generators.Random (Rng.create 3) in
-  checki "default = Best"
-    (Schedule.depth (Strategy.route Strategy.Best grid pi))
+  checki "default = best"
+    (Schedule.depth (route ~engine:"best" grid pi))
     (Schedule.depth (route grid pi))
 
 let test_generic_route_on_non_grid () =
@@ -72,17 +63,15 @@ let test_generic_route_on_non_grid () =
       let oracle = Distance.of_graph g in
       let pi = Perm.check (Rng.permutation rng n) in
       List.iter
-        (fun strategy ->
-          let sched = Strategy.generic_route strategy g oracle pi in
-          checkb
-            (Strategy.name strategy ^ " generic valid")
-            true
-            (Schedule.is_valid g sched);
-          checkb
-            (Strategy.name strategy ^ " generic realizes")
-            true
+        (fun name ->
+          let sched =
+            Router_registry.route_generic (Router_registry.get name) g oracle
+              pi
+          in
+          checkb (name ^ " generic valid") true (Schedule.is_valid g sched);
+          checkb (name ^ " generic realizes") true
             (Schedule.realizes ~n sched pi))
-        [ Strategy.Ats; Strategy.Ats_serial; Strategy.Best ])
+        [ "ats"; "ats-serial"; "best" ])
     graphs
 
 let test_local_never_deeper_than_worst_case () =
@@ -93,11 +82,11 @@ let test_local_never_deeper_than_worst_case () =
     let m = 1 + Rng.int rng 9 and n = 1 + Rng.int rng 9 in
     let grid = Grid.make ~rows:m ~cols:n in
     let pi = Perm.check (Rng.permutation rng (m * n)) in
-    let depth = Schedule.depth (Strategy.route Strategy.Local grid pi) in
+    let depth = Schedule.depth (route ~engine:"local" grid pi) in
     checkb "worst-case bound" true (depth <= min ((2 * m) + n) ((2 * n) + m))
   done
 
-let strategy_agreement_property =
+let engine_agreement_property =
   QCheck.Test.make ~name:"all strategies realize the same permutation"
     ~count:40
     QCheck.(triple (int_range 1 5) (int_range 1 5) (int_range 0 100000))
@@ -105,9 +94,10 @@ let strategy_agreement_property =
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
       List.for_all
-        (fun strategy ->
-          Schedule.realizes ~n:(m * n) (Strategy.route strategy grid pi) pi)
-        Strategy.all)
+        (fun engine ->
+          Schedule.realizes ~n:(m * n) (Router_intf.route_grid engine grid pi)
+            pi)
+        (Router_registry.all ()))
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -115,17 +105,14 @@ let () =
     [
       ( "strategy",
         [
-          Alcotest.test_case "names roundtrip" `Quick
-            test_names_unique_and_roundtrip;
-          Alcotest.test_case "of_name garbage" `Quick test_of_name_rejects_garbage;
           Alcotest.test_case "all shapes" `Quick
-            test_every_strategy_routes_every_shape;
+            test_every_engine_routes_every_shape;
           Alcotest.test_case "identity free" `Quick
-            test_every_strategy_identity_free;
+            test_every_engine_identity_free;
           Alcotest.test_case "default = best" `Quick test_default_route_is_best;
           Alcotest.test_case "generic graphs" `Quick test_generic_route_on_non_grid;
           Alcotest.test_case "worst-case bound" `Quick
             test_local_never_deeper_than_worst_case;
-          qc strategy_agreement_property;
+          qc engine_agreement_property;
         ] );
     ]
